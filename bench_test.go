@@ -327,7 +327,10 @@ func BenchmarkEstimator(b *testing.B) {
 // sync per iteration over an in-memory pipe, either from long-lived warm
 // handles (validation, ToW sketch, snapshot, and partitions carried over
 // between syncs) or rebuilt from raw slices per call the way the legacy
-// SyncInitiator/SyncResponder wrappers do. scripts/bench_api.sh emits the
+// SyncInitiator/SyncResponder wrappers do. The warm-set-churn arm toggles
+// 5 elements of a 200k-element initiator between syncs, so every sync
+// runs on a freshly derived view: it gates the O(changes) view derivation
+// that read-only warm-set never exercises. scripts/bench_api.sh emits the
 // comparison to BENCH_api.json.
 func BenchmarkAPI(b *testing.B) {
 	p, err := workload.Generate(workload.Config{UniverseBits: 32, SizeA: 50000, D: 100, Seed: 77})
@@ -336,7 +339,7 @@ func BenchmarkAPI(b *testing.B) {
 	}
 	opt := &Options{Seed: 78}
 
-	syncOnce := func(b *testing.B, initiate func(conn net.Conn) (*Result, error), respond func(conn net.Conn) error) {
+	syncOnce := func(b *testing.B, want int, initiate func(conn net.Conn) (*Result, error), respond func(conn net.Conn) error) {
 		b.Helper()
 		ca, cb := net.Pipe()
 		respErr := make(chan error, 1)
@@ -352,39 +355,77 @@ func BenchmarkAPI(b *testing.B) {
 		if err := <-respErr; err != nil {
 			b.Fatal(err)
 		}
-		if !res.Complete || len(res.Difference) != len(p.Diff) {
-			b.Fatalf("bad sync: complete=%v |diff|=%d", res.Complete, len(res.Difference))
+		if !res.Complete || len(res.Difference) != want {
+			b.Fatalf("bad sync: complete=%v |diff|=%d, want %d", res.Complete, len(res.Difference), want)
 		}
 	}
-
-	b.Run("warm-set/d=100", func(b *testing.B) {
+	warmSets := func(b *testing.B, p *workload.Pair) (sa, sb *Set) {
 		sa, err := NewSet(p.A, withBaseOptions(opt))
 		if err != nil {
 			b.Fatal(err)
 		}
-		sb, err := NewSet(p.B, withBaseOptions(opt))
+		sb, err = NewSet(p.B, withBaseOptions(opt))
 		if err != nil {
 			b.Fatal(err)
 		}
-		ctx := context.Background()
+		return sa, sb
+	}
+	ctx := context.Background()
+
+	b.Run("warm-set/d=100", func(b *testing.B) {
+		sa, sb := warmSets(b, p)
+		run := func() {
+			syncOnce(b, len(p.Diff),
+				func(conn net.Conn) (*Result, error) { return sa.Sync(ctx, conn) },
+				func(conn net.Conn) error { return sb.Respond(ctx, conn) })
+		}
 		// One untimed priming sync: the handle's lazy one-time costs
 		// (estimator sketch, snapshot, partitions) land here, so the
 		// timed loop measures the steady state a long-lived handle runs
 		// in — which is the quantity this benchmark exists to compare.
-		syncOnce(b,
-			func(conn net.Conn) (*Result, error) { return sa.Sync(ctx, conn) },
-			func(conn net.Conn) error { return sb.Respond(ctx, conn) })
+		run()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			syncOnce(b,
-				func(conn net.Conn) (*Result, error) { return sa.Sync(ctx, conn) },
+			run()
+		}
+	})
+
+	b.Run("warm-set-churn/A=200k", func(b *testing.B) {
+		pc, err := workload.Generate(workload.Config{UniverseBits: 32, SizeA: 200_000, D: 10, Seed: 79})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sa, sb := warmSets(b, pc)
+		churn := pc.B[:5]
+		parked := false
+		run := func() {
+			if parked {
+				sa.Add(churn...)
+			} else {
+				sa.Remove(churn...)
+			}
+			parked = !parked
+			want := len(pc.Diff)
+			if parked {
+				want += len(churn)
+			}
+			syncOnce(b, want,
+				func(conn net.Conn) (*Result, error) { return sa.Sync(ctx, conn, WithFastSync(true)) },
 				func(conn net.Conn) error { return sb.Respond(ctx, conn) })
+		}
+		// Priming: the cold first view and the speculation prior settle.
+		for i := 0; i < 4; i++ {
+			run()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
 		}
 	})
 
 	b.Run("cold-construct/d=100", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			syncOnce(b,
+			syncOnce(b, len(p.Diff),
 				func(conn net.Conn) (*Result, error) { return SyncInitiator(p.A, conn, opt) },
 				func(conn net.Conn) error { return SyncResponder(p.B, conn, opt) })
 		}

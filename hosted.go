@@ -273,20 +273,21 @@ func (hs *hostedSet) update(add, remove []uint64) (added, removed int, err error
 		// settles residency afterwards via settleResidency.
 		hs.resident = true
 	}
-	set := make(map[uint64]struct{}, len(hs.elems)+len(add))
-	for _, e := range hs.elems {
-		set[e] = struct{}{}
-	}
 	if hs.dirtyAdds == nil {
 		hs.dirtyAdds = make(map[uint64]struct{})
 		hs.dirtyDels = make(map[uint64]struct{})
 	}
 	mh := msethash.FromDigest(hs.h.opt.Seed^verifySeedTweak, hs.digestLocked())
-	for _, x := range add {
-		if _, ok := set[x]; ok {
+	// Adds apply first, then removes, each input counted once. ins is
+	// what the adds inserted and hits what the removes found (in the old
+	// elements or in ins), both ascending, so the new element list is one
+	// merge of the old against their symmetric difference.
+	var ins, hits []uint64
+	for _, x := range sortedUnique(add) {
+		if _, ok := slices.BinarySearch(hs.elems, x); ok {
 			continue
 		}
-		set[x] = struct{}{}
+		ins = append(ins, x)
 		hs.h.tow.Add(hs.meta.Sketch, x)
 		mh.Add(x)
 		added++
@@ -296,11 +297,12 @@ func (hs *hostedSet) update(add, remove []uint64) (added, removed int, err error
 			hs.dirtyAdds[x] = struct{}{}
 		}
 	}
-	for _, x := range remove {
-		if _, ok := set[x]; !ok {
+	for _, x := range sortedUnique(remove) {
+		_, old := slices.BinarySearch(hs.elems, x)
+		if _, fresh := slices.BinarySearch(ins, x); !old && !fresh {
 			continue
 		}
-		delete(set, x)
+		hits = append(hits, x)
 		hs.h.tow.Remove(hs.meta.Sketch, x)
 		mh.Remove(x)
 		removed++
@@ -315,15 +317,17 @@ func (hs *hostedSet) update(add, remove []uint64) (added, removed int, err error
 	}
 	d := mh.Sum()
 	hs.meta.Digest = d.Bytes()
-	hs.meta.Count = uint64(len(set))
-	elems := make([]uint64, 0, len(set))
-	for e := range set {
-		elems = append(elems, e)
-	}
-	slices.Sort(elems)
-	hs.elems = elems
+	hs.elems = core.SymDiff(make([]uint64, 0, len(hs.elems)+len(ins)), hs.elems, core.SymDiff(nil, ins, hits))
+	hs.meta.Count = uint64(len(hs.elems))
 	hs.view = nil // next session sees the mutated set
 	return added, removed, nil
+}
+
+// sortedUnique returns the distinct values of xs in ascending order.
+func sortedUnique(xs []uint64) []uint64 {
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // flushLocked persists the dirty state: the first flush is a full

@@ -20,6 +20,11 @@ type Alice struct {
 	sd      seeds
 	sigMask uint64
 
+	// base and part are the snapshot base and its partition under the
+	// plan, kept for the round-1 fold cache.
+	base *snapBase
+	part *partition
+
 	active []*aliceScope
 	round  int
 
@@ -100,11 +105,20 @@ func (a *Alice) DecodeTime() time.Duration { return a.decodeTime }
 
 // aliceScope is Alice's per-scope state: the working set W (initially her
 // group subset, thereafter W △ D̂ after every round, §2.4) plus incremental
-// checksums.
+// checksums. W is never materialized: it is the scope's share of the
+// snapshot (base △ delta) XOR the toggles learned so far this session.
 type aliceScope struct {
 	id       scopeID
-	w        map[uint64]struct{}
+	set      scopeSet
 	checksum uint64 // c(W), maintained incrementally
+
+	// learned holds the scope's net toggles this session — elements
+	// toggled an odd number of times, all in the scope's sub-universe
+	// (acceptRecovered enforces the group and split path). When the scope
+	// verifies, learned is exactly the scope's share of A△B, emitted as
+	// that round's delta batch when onDelta is set. Split children inherit
+	// it partitioned by child hash. nil until the first toggle.
+	learned map[uint64]struct{}
 
 	bobChecksum     uint64
 	haveBobChecksum bool
@@ -120,96 +134,60 @@ type aliceScope struct {
 	// the next round back onto the static plan (see replanRound).
 	loadHint   int
 	splitFresh bool
-
-	// pending tracks the scope's contribution to the learned difference —
-	// elements toggled an odd number of times so far. Maintained only when
-	// onDelta is set; when the scope verifies, pending is exactly the
-	// scope's share of A△B and is emitted as that round's delta batch.
-	// Split children inherit the parent's pending partitioned by child hash
-	// (pending elements always lie in the scope's sub-universe, because
-	// acceptRecovered enforces the group and split path).
-	pending map[uint64]struct{}
 }
 
-// NewAlice creates the Alice endpoint for the given set under plan.
-// Elements must be nonzero and fit in plan.SigBits bits.
+// contains reports whether x is in the scope's working set W.
+func (sc *aliceScope) contains(x uint64) bool {
+	_, toggled := sc.learned[x]
+	return sc.set.contains(x) != toggled
+}
+
+// NewAlice creates the Alice endpoint for the given set under plan: a
+// private Snapshot validated and partitioned for this one plan, the same
+// path NewBob takes. Elements must be nonzero, distinct, and fit in
+// plan.SigBits bits.
 func NewAlice(set []uint64, plan Plan) (*Alice, error) {
 	if err := plan.validate(); err != nil {
 		return nil, err
 	}
-	a := &Alice{
-		plan:    plan,
-		sd:      deriveSeeds(plan.Seed),
-		sigMask: sigMask(plan.SigBits),
-		diff:    make(map[uint64]struct{}),
-		curM:    plan.M,
-		curT:    plan.T,
-		skM:     plan.M,
-		skT:     plan.T,
+	snap, err := NewSnapshot(set, Config{SigBits: plan.SigBits, Seed: plan.Seed})
+	if err != nil {
+		return nil, err
 	}
-	scopes := make([]*aliceScope, plan.Groups)
-	for g := range scopes {
-		scopes[g] = &aliceScope{
-			id: newScopeID(g),
-			w:  make(map[uint64]struct{}),
-		}
-	}
-	for _, x := range set {
-		if x == 0 || x&^a.sigMask != 0 {
-			return nil, fmt.Errorf("core: element %#x outside %d-bit universe (0 excluded)", x, plan.SigBits)
-		}
-		sc := scopes[a.sd.groupOf(x, plan.Groups)]
-		if _, dup := sc.w[x]; dup {
-			return nil, fmt.Errorf("core: duplicate element %#x", x)
-		}
-		sc.w[x] = struct{}{}
-		sc.checksum = (sc.checksum + x) & a.sigMask
-	}
-	a.active = scopes
-	return a, nil
+	return NewAliceFromSnapshot(snap, plan)
 }
 
 // NewAliceFromSnapshot creates an Alice endpoint over a pre-validated
 // shared Snapshot, skipping the per-session O(|S|) validation pass and
 // reusing the snapshot's cached group partition for plan.Groups — the same
 // amortization NewBobFromSnapshot gives the responder, now available to the
-// side that learns the difference. The plan's Seed and SigBits must match
-// the snapshot's.
+// side that learns the difference. Her working sets start as views of the
+// snapshot's groups; nothing is copied. See checkPlan for which plan fields
+// must match the snapshot.
 func NewAliceFromSnapshot(snap *Snapshot, plan Plan) (*Alice, error) {
-	if err := plan.validate(); err != nil {
+	if err := snap.checkPlan(plan); err != nil {
 		return nil, err
 	}
-	if plan.Seed != snap.seed {
-		return nil, fmt.Errorf("core: plan seed %#x does not match snapshot seed %#x", plan.Seed, snap.seed)
+	part, sets, sums := snap.rootScopes(plan)
+	scopes := make([]*aliceScope, plan.Groups)
+	backing := make([]aliceScope, plan.Groups)
+	for g := range scopes {
+		backing[g] = aliceScope{id: newScopeID(g), set: sets[g], checksum: sums[g]}
+		scopes[g] = &backing[g]
 	}
-	if plan.SigBits != snap.sigBits {
-		return nil, fmt.Errorf("core: plan sigBits %d does not match snapshot sigBits %d", plan.SigBits, snap.sigBits)
-	}
-	a := &Alice{
+	return &Alice{
 		plan:    plan,
-		sd:      deriveSeeds(plan.Seed),
+		sd:      snap.b.sd,
 		sigMask: sigMask(plan.SigBits),
+		base:    snap.b,
+		part:    part,
+		active:  scopes,
 		diff:    make(map[uint64]struct{}),
 		curM:    plan.M,
 		curT:    plan.T,
 		skM:     plan.M,
 		skT:     plan.T,
-	}
-	groups := snap.partition(plan.Groups)
-	scopes := make([]*aliceScope, plan.Groups)
-	for g := range scopes {
-		sc := &aliceScope{
-			id: newScopeID(g),
-			w:  make(map[uint64]struct{}, len(groups[g])),
-		}
-		for _, x := range groups[g] {
-			sc.w[x] = struct{}{}
-			sc.checksum = (sc.checksum + x) & a.sigMask
-		}
-		scopes[g] = sc
-	}
-	a.active = scopes
-	return a, nil
+	}, nil
 }
 
 // OnVerifiedDelta registers fn to receive each round's newly verified
@@ -368,6 +346,12 @@ func (a *Alice) BuildRound() ([]byte, error) {
 			clear(sc.binSums)
 		}
 	}
+	// Round 1 runs on the root scopes, whose base folds the snapshot may
+	// have cached: each is then a copy plus the fold of the group's delta.
+	var fold *roundFold
+	if a.round == 1 {
+		fold = a.base.roundOneFold(a.part, a.curM, nw)
+	}
 	durs := a.roundDurs(nw)
 	forEachScope(nw, len(a.active), func(worker, i int) {
 		t0 := time.Now()
@@ -380,7 +364,19 @@ func (a *Alice) BuildRound() ([]byte, error) {
 		} else {
 			clear(parity)
 		}
-		binFold(sc.w, sc.binSeed, n, sc.binSums, parity)
+		if fold != nil {
+			lo := sc.id.group * int(n+1)
+			copy(sc.binSums, fold.sums[lo:lo+int(n+1)])
+			copy(parity, fold.parity[lo:lo+int(n+1)])
+		} else {
+			foldInto(sc.set.base, sc.binSeed, n, sc.binSums, parity)
+		}
+		foldInto(sc.set.delta, sc.binSeed, n, sc.binSums, parity)
+		for x := range sc.learned {
+			b := hashutil.Bin(x, sc.binSeed, n)
+			sc.binSums[b] ^= x
+			parity[b] = !parity[b]
+		}
 		sketch := a.sketches[i]
 		sketch.Reset()
 		for j := uint64(1); j <= n; j++ {
@@ -546,8 +542,7 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 			if !a.acceptRecovered(sc, s, pos) {
 				continue
 			}
-			_, in := sc.w[s]
-			ck = a.checksumToggle(ck, s, in)
+			ck = a.checksumToggle(ck, s, sc.contains(s))
 			out.accepted = append(out.accepted, s)
 		}
 		// Verified scopes are reconciled subset pairs (§2.2.3).
@@ -584,13 +579,12 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 			// rounds (surviving scopes keep theirs attached).
 			a.putSums(sc.binSums)
 			sc.binSums = nil
-			// The scope's pending toggles just passed verification: they
+			// The scope's learned toggles just passed verification: they
 			// are confirmed difference elements, deliverable now.
 			if a.onDelta != nil {
-				for x := range sc.pending {
+				for x := range sc.learned {
 					delta = append(delta, x)
 				}
-				sc.pending = nil
 			}
 		} else {
 			sc.loadHint = survivorLoad
@@ -648,66 +642,43 @@ func (a *Alice) checksumToggle(ck, s uint64, present bool) uint64 {
 // phase so the working sets and the difference can never diverge, even
 // when a malformed reply aborts a round.
 func (a *Alice) toggle(sc *aliceScope, s uint64) {
-	_, in := sc.w[s]
-	sc.checksum = a.checksumToggle(sc.checksum, s, in)
-	if in {
-		delete(sc.w, s)
-	} else {
-		sc.w[s] = struct{}{}
-	}
-	if _, in := a.diff[s]; in {
-		delete(a.diff, s)
-	} else {
-		a.diff[s] = struct{}{}
-	}
-	if a.onDelta != nil {
-		if _, in := sc.pending[s]; in {
-			delete(sc.pending, s)
-		} else {
-			if sc.pending == nil {
-				sc.pending = make(map[uint64]struct{})
-			}
-			sc.pending[s] = struct{}{}
-		}
-	}
+	sc.checksum = a.checksumToggle(sc.checksum, s, sc.contains(s))
+	toggleIn(&sc.learned, s)
+	toggleIn(&a.diff, s)
 }
 
-// splitScope partitions sc's working set into splitWays children.
+// toggleIn flips x's membership in *m, allocating the map on first use.
+func toggleIn(m *map[uint64]struct{}, x uint64) {
+	if _, in := (*m)[x]; in {
+		delete(*m, x)
+		return
+	}
+	if *m == nil {
+		*m = make(map[uint64]struct{})
+	}
+	(*m)[x] = struct{}{}
+}
+
+// splitScope partitions sc's working set into splitWays children: the
+// snapshot share is filtered by child hash, learned toggles follow their
+// elements, and each child's checksum is rebuilt from its parts.
 func (a *Alice) splitScope(sc *aliceScope) []*aliceScope {
+	kids, baseSums := sc.set.split(a.sd, sc.id)
 	children := make([]*aliceScope, splitWays)
 	for i := range children {
-		children[i] = &aliceScope{
-			id: sc.id.child(i),
-			w:  make(map[uint64]struct{}),
-		}
+		children[i] = &aliceScope{id: sc.id.child(i), set: kids[i]}
 	}
-	for x := range sc.w {
-		c := children[a.sd.childOf(x, sc.id)]
-		c.w[x] = struct{}{}
-		c.checksum = (c.checksum + x) & a.sigMask
+	for x := range sc.learned {
+		toggleIn(&children[a.sd.childOf(x, sc.id)].learned, x)
 	}
-	// Unconfirmed toggles follow their elements into the children: each
-	// pending element verifies (and is emitted) with whichever child scope
-	// its sub-universe hash lands it in.
-	for x := range sc.pending {
-		c := children[a.sd.childOf(x, sc.id)]
-		if c.pending == nil {
-			c.pending = make(map[uint64]struct{})
+	for i, c := range children {
+		ck := c.set.checksum(baseSums[i], a.sigMask)
+		for x := range c.learned {
+			ck = a.checksumToggle(ck, x, c.set.contains(x))
 		}
-		c.pending[x] = struct{}{}
+		c.checksum = ck
 	}
 	return children
-}
-
-// binFold hashes every element of set into a bin in [1, n], accumulating
-// per-bin XOR sums and cardinality parities into the caller's buffers
-// (both 1-based with n+1 slots, pre-zeroed).
-func binFold(set map[uint64]struct{}, seed uint64, n uint64, sums []uint64, parity []bool) {
-	for x := range set {
-		b := hashutil.Bin(x, seed, n)
-		sums[b] ^= x
-		parity[b] = !parity[b]
-	}
 }
 
 func writeScopeID(w *wire.Writer, id scopeID) {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"pbs/internal/bch"
-	"pbs/internal/hashutil"
 	"pbs/internal/wire"
 )
 
@@ -19,12 +18,17 @@ type Bob struct {
 	sd      seeds
 	sigMask uint64
 
-	// groups holds Bob's elements partitioned by group; stable across
-	// rounds because the group hash never changes.
-	groups [][]uint64
-	// scopeSets caches the element lists of split scopes.
-	scopeSets map[scopeID][]uint64
-	// checksums caches c(B_s) per scope.
+	// base and part are the snapshot base and its partition under the
+	// plan, kept for the round-1 fold cache. roots holds each group's
+	// share of the snapshot and rootSums its checksum; both are stable
+	// across rounds because the group hash never changes.
+	base     *snapBase
+	part     *partition
+	roots    []scopeSet
+	rootSums []uint64
+	// scopeSets caches the shares of split scopes.
+	scopeSets map[scopeID]scopeSet
+	// checksums caches c(B_s) per split scope.
 	checksums map[scopeID]uint64
 
 	payloadBits   int
@@ -85,22 +89,6 @@ func NewBob(set []uint64, plan Plan) (*Bob, error) {
 	return NewBobFromSnapshot(snap, plan)
 }
 
-// newBobWithGroups builds a Bob around an already validated and
-// partitioned element set. The group slices are only ever read, so they
-// may be shared (see Snapshot).
-func newBobWithGroups(groups [][]uint64, plan Plan) *Bob {
-	return &Bob{
-		plan:      plan,
-		sd:        deriveSeeds(plan.Seed),
-		sigMask:   sigMask(plan.SigBits),
-		groups:    groups,
-		scopeSets: make(map[scopeID][]uint64),
-		checksums: make(map[scopeID]uint64),
-		curM:      plan.M,
-		curT:      plan.T,
-	}
-}
-
 // PayloadBits returns the cumulative protocol-payload bits Bob has sent
 // (positions, XOR sums, checksums), excluding message framing.
 func (b *Bob) PayloadBits() int { return b.payloadBits }
@@ -111,41 +99,33 @@ func (b *Bob) PositionsSent() int { return b.positionsSent }
 // ChecksumsSent returns how many per-scope checksums Bob has sent.
 func (b *Bob) ChecksumsSent() int { return b.checksumsSent }
 
-// scopeSet returns Bob's elements belonging to the given scope, computing
-// and caching split-scope subsets on demand.
-func (b *Bob) scopeSet(id scopeID) []uint64 {
+// scopeSet returns Bob's share of the given scope, computing and caching
+// split-scope shares on demand.
+func (b *Bob) scopeSet(id scopeID) scopeSet {
 	if id.path == "" {
-		return b.groups[id.group]
+		return b.roots[id.group]
 	}
 	if s, ok := b.scopeSets[id]; ok {
 		return s
 	}
 	parent := makeScopeID(id.group, id.path[:len(id.path)-1])
-	parentSet := b.scopeSet(parent)
 	// Partition the parent into all children at once so sibling lookups hit
 	// the cache.
-	children := make([][]uint64, splitWays)
-	for _, x := range parentSet {
-		c := b.sd.childOf(x, parent)
-		children[c] = append(children[c], x)
-	}
-	for i, set := range children {
-		b.scopeSets[parent.child(i)] = set
+	kids, baseSums := b.scopeSet(parent).split(b.sd, parent)
+	for i, set := range kids {
+		child := parent.child(i)
+		b.scopeSets[child] = set
+		b.checksums[child] = set.checksum(baseSums[i], b.sigMask)
 	}
 	return b.scopeSets[id]
 }
 
-// checksum returns c(B_s) for the scope, cached.
-func (b *Bob) checksum(id scopeID, set []uint64) uint64 {
-	if c, ok := b.checksums[id]; ok {
-		return c
+// checksum returns c(B_s) for the scope.
+func (b *Bob) checksum(id scopeID) uint64 {
+	if id.path == "" {
+		return b.rootSums[id.group]
 	}
-	var c uint64
-	for _, x := range set {
-		c = (c + x) & b.sigMask
-	}
-	b.checksums[id] = c
-	return c
+	return b.checksums[id]
 }
 
 // bobScopeJob is one scope's decoded request: everything the parallel
@@ -154,7 +134,7 @@ func (b *Bob) checksum(id scopeID, set []uint64) uint64 {
 type bobScopeJob struct {
 	id    scopeID
 	alice *bch.Sketch
-	set   []uint64
+	set   scopeSet
 	seed  uint64
 }
 
@@ -235,6 +215,13 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		return nil, fmt.Errorf("core: implausible scope count %d", nScopes)
 	}
 	n := (uint64(1) << b.curM) - 1
+	// A round-1 root scope starts from the snapshot's cached base fold,
+	// when it keeps one; a hostile round-1 message naming split scopes
+	// simply folds them directly.
+	var fold *roundFold
+	if round == 1 {
+		fold = b.base.roundOneFold(b.part, b.curM, b.plan.workers())
+	}
 	// Grow jobs as scopes parse successfully rather than pre-allocating by
 	// the peer-claimed count: a tiny frame claiming the plausibility cap
 	// must not force a multi-megabyte allocation before validation.
@@ -305,11 +292,14 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		encStart := time.Now()
 		sketch := sc.sketch
 		sketch.Reset()
-		for _, x := range job.set {
-			bin := hashutil.Bin(x, job.seed, n)
-			sc.sums[bin] ^= x
-			sc.parity[bin] = !sc.parity[bin]
+		if fold != nil && job.id.path == "" {
+			lo := job.id.group * int(n+1)
+			copy(sc.sums, fold.sums[lo:lo+int(n+1)])
+			copy(sc.parity, fold.parity[lo:lo+int(n+1)])
+		} else {
+			foldInto(job.set.base, job.seed, n, sc.sums, sc.parity)
 		}
+		foldInto(job.set.delta, job.seed, n, sc.sums, sc.parity)
 		for j := uint64(1); j <= n; j++ {
 			if sc.parity[j] {
 				sketch.Add(j)
@@ -355,7 +345,7 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		for _, x := range rep.xors {
 			out.WriteBits(x, b.plan.SigBits)
 		}
-		out.WriteBits(b.checksum(jobs[i].id, jobs[i].set), b.plan.SigBits)
+		out.WriteBits(b.checksum(jobs[i].id), b.plan.SigBits)
 		b.payloadBits += len(rep.positions)*int(b.curM) +
 			len(rep.positions)*int(b.plan.SigBits) + int(b.plan.SigBits)
 		b.positionsSent += len(rep.positions)

@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"pbs/internal/markov"
 )
@@ -140,7 +141,7 @@ func NewPlan(d int, cfg Config) (Plan, error) {
 	if d < 1 {
 		d = 1
 	}
-	params, err := markov.Optimize(d, cfg.Delta, cfg.TargetRounds, cfg.TargetSuccess)
+	params, err := optimize(d, cfg)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -164,4 +165,45 @@ func NewPlan(d int, cfg Config) (Plan, error) {
 		return Plan{}, err
 	}
 	return plan, nil
+}
+
+// planKey is everything markov.Optimize depends on.
+type planKey struct {
+	d, delta, rounds int
+	success          float64
+}
+
+// planMemo caches markov.Optimize, a pure function that both endpoints
+// would otherwise re-run on every sync. Holding only results of a pure
+// function, it can change no outcome, so it is safe to share process-wide.
+// d is derived from the peer-influenced d̂, so the cache is bounded: at
+// maxMemoPlans an arbitrary entry is evicted, and forged estimates can
+// only force recomputation.
+var planMemo struct {
+	sync.Mutex
+	m map[planKey]markov.Params
+}
+
+const maxMemoPlans = 1024
+
+func optimize(d int, cfg Config) (markov.Params, error) {
+	k := planKey{d: d, delta: cfg.Delta, rounds: cfg.TargetRounds, success: cfg.TargetSuccess}
+	planMemo.Lock()
+	p, ok := planMemo.m[k]
+	planMemo.Unlock()
+	if ok {
+		return p, nil
+	}
+	p, err := markov.Optimize(d, cfg.Delta, cfg.TargetRounds, cfg.TargetSuccess)
+	if err != nil {
+		return p, err
+	}
+	planMemo.Lock()
+	defer planMemo.Unlock()
+	if planMemo.m == nil {
+		planMemo.m = make(map[planKey]markov.Params)
+	}
+	evictOne(planMemo.m, maxMemoPlans)
+	planMemo.m[k] = p
+	return p, nil
 }

@@ -93,3 +93,57 @@ func (sd seeds) groupOf(x uint64, groups int) int {
 func (sd seeds) childOf(x uint64, sc scopeID) int {
 	return int(hashutil.Bucket(x, sd.splitSeed(sc), splitWays))
 }
+
+// scopeSet is one scope's share of a snapshot's elements, base △ delta.
+// Both slices are ascending and read-only: a root scope's point into the
+// snapshot's cached partition and grouped delta, a split child's are
+// freshly filtered from its parent's.
+type scopeSet struct {
+	base  []uint64
+	delta []uint64
+}
+
+func (s scopeSet) contains(x uint64) bool { return has(s.base, x) != has(s.delta, x) }
+
+// checksum returns the masked plain-sum checksum of base △ delta, given
+// baseSum = c(base).
+func (s scopeSet) checksum(baseSum, mask uint64) uint64 {
+	ck := baseSum
+	for _, x := range s.delta {
+		if has(s.base, x) {
+			ck -= x
+		} else {
+			ck += x
+		}
+	}
+	return ck & mask
+}
+
+// split partitions the set among the splitWays children of scope id,
+// returning each child's share and the unmasked plain sum of its base.
+func (s scopeSet) split(sd seeds, id scopeID) (kids [splitWays]scopeSet, baseSums [splitWays]uint64) {
+	seed := sd.splitSeed(id)
+	for _, x := range s.base {
+		c := hashutil.Bucket(x, seed, splitWays)
+		kids[c].base = append(kids[c].base, x)
+		baseSums[c] += x
+	}
+	for _, x := range s.delta {
+		c := hashutil.Bucket(x, seed, splitWays)
+		kids[c].delta = append(kids[c].delta, x)
+	}
+	return kids, baseSums
+}
+
+// foldInto hashes every element of xs into a bin in [1, n], XOR-ing it
+// into the per-bin sums and flipping the per-bin cardinality parity. The
+// fold is linear over △, so folding a set's parts in turn (a cached base
+// fold, then its delta, then learned toggles) yields the fold of their
+// symmetric difference.
+func foldInto(xs []uint64, seed, n uint64, sums []uint64, parity []bool) {
+	for _, x := range xs {
+		b := hashutil.Bin(x, seed, n)
+		sums[b] ^= x
+		parity[b] = !parity[b]
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"pbs/internal/markov"
 	"pbs/internal/workload"
 )
 
@@ -180,5 +181,47 @@ func TestNewPlanResolvesMaxRounds(t *testing.T) {
 	}
 	if p.MaxRounds != 7 {
 		t.Fatalf("MaxRounds = %d, want 7", p.MaxRounds)
+	}
+}
+
+// TestNewPlanMemoized: plans served from the optimizer memo equal fresh
+// optimizer runs, concurrent callers share it safely, and forged-estimate
+// churn cannot grow it past its bound.
+func TestNewPlanMemoized(t *testing.T) {
+	cfg := Config{Seed: 3}.withDefaults()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for d := 1 + w; d <= maxMemoPlans+64; d += 4 {
+				if _, err := NewPlan(d, cfg); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	planMemo.Lock()
+	size := len(planMemo.m)
+	planMemo.Unlock()
+	if size > maxMemoPlans {
+		t.Fatalf("plan memo holds %d entries, bound %d", size, maxMemoPlans)
+	}
+	for _, d := range []int{1, 7, 150, 5000} {
+		want, err := markov.Optimize(d, cfg.Delta, cfg.TargetRounds, cfg.TargetSuccess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			plan, err := NewPlan(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.M != want.M || plan.T != want.T || plan.Groups != markov.NumGroups(d, cfg.Delta) {
+				t.Fatalf("d=%d: plan (m=%d, t=%d, g=%d), optimizer says (m=%d, t=%d)", d, plan.M, plan.T, plan.Groups, want.M, want.T)
+			}
+		}
 	}
 }

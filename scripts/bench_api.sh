@@ -9,10 +9,12 @@
 # a small fixed count). The JSON is an array of objects:
 #   {"name", "iterations", "ns_per_op", "bytes_per_op", "allocs_per_op"}
 # covering one full wire sync per iteration from warm, long-lived Set
-# handles (BenchmarkAPI/warm-set) versus per-call construction through the
-# legacy wrappers (BenchmarkAPI/cold-construct), so the Set API's
-# amortization win — skipped re-validation, incremental ToW sketch, cached
-# snapshot and partitions — is checkable by tooling.
+# handles (BenchmarkAPI/warm-set; BenchmarkAPI/warm-set-churn, which
+# toggles 5 of 200k elements between syncs) versus per-call construction
+# through the legacy wrappers (BenchmarkAPI/cold-construct), so the Set
+# API's amortization win — skipped re-validation, incremental ToW sketch,
+# cached snapshot, partitions and round-1 folds, views derived in
+# O(changes) — is checkable by tooling.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -514,6 +514,9 @@ type SharedSet struct {
 
 	digestOnce sync.Once
 	digest     msethash.Digest
+	// origin, when set, is the Set this view was taken from; the first
+	// digest request asks it (see Set.viewDigest).
+	origin *Set
 
 	// observeDhat, when set, is invoked with every difference estimate d̂
 	// this set answers (msgEstimate and fast hellos alike). The hosted
@@ -601,6 +604,12 @@ func (ss *SharedSet) towSketch() []int64 {
 // computed on first use.
 func (ss *SharedSet) verifyDigest() msethash.Digest {
 	ss.digestOnce.Do(func() {
+		if ss.origin != nil {
+			var ok bool
+			if ss.digest, ok = ss.origin.viewDigest(ss); ok {
+				return
+			}
+		}
 		h := msethash.New(ss.opt.Seed ^ verifySeedTweak)
 		h.AddSet(ss.snap.Elements())
 		ss.digest = h.Sum()

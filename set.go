@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pbs/internal/core"
 	"pbs/internal/estimator"
+	"pbs/internal/msethash"
 )
 
 // Set is a long-lived, mutable, concurrency-safe set handle and the primary
@@ -23,12 +25,16 @@ import (
 // The handle is what makes repeated reconciliation cheap. Element
 // validation happens once, at insertion. The Tug-of-War estimator sketch is
 // maintained incrementally — O(ℓ) per Add/Remove, never re-sketched — so
-// the estimation phase of every sync starts for free. The validated
-// snapshot, the per-plan group partitions, and the strong-verification
-// digest are computed lazily and cached until the next mutation, then
-// shared read-only by every concurrent session. This is the amortization
-// that lets one process carry thousands of syncs per second against the
-// same data (see Server), now available to both protocol roles.
+// the estimation phase of every sync starts for free, and so is the
+// strong-verification digest once a session has asked for it. The
+// immutable view a session runs on is a snapshot base plus the changes
+// since it was taken: a mutation is an O(1) toggle, the next view costs
+// O(changes), and the per-plan group partitions and round-1 bin folds of
+// the base carry over from view to view, shared read-only by every
+// concurrent session. A warm sync therefore costs O(d) plus the changes
+// since the last one, not O(|S|). This is the amortization that lets one
+// process carry thousands of syncs per second against the same data (see
+// Server), available to both protocol roles.
 //
 // All methods are safe for concurrent use. Mutating the set while a sync is
 // in flight is safe: each sync operates on the immutable view current when
@@ -65,6 +71,15 @@ type Set struct {
 	// that only ever reconcile with WithKnownD never pay for it) and kept
 	// exact under Add/Remove afterwards.
 	sketch []int64
+	// digest is the strong-verification multiset hash, maintained the
+	// same way: nil until a session first asks for the digest of a view,
+	// exact under Add/Remove afterwards and preset on every later view.
+	digest *msethash.Hash
+	// delta tracks the set as the snapshot base of the first view plus
+	// the net changes since, so a view after k mutations is derived in
+	// O(k) and keeps the base's partitions and folds; nil until the first
+	// view.
+	delta  *core.Delta
 	shared *SharedSet // immutable view, nil when stale
 }
 
@@ -317,8 +332,14 @@ func (s *Set) Add(xs ...uint64) (int, error) {
 			continue
 		}
 		s.elems[x] = struct{}{}
+		if s.delta != nil {
+			s.delta.Add(x)
+		}
 		if s.sketch != nil {
 			s.tow.Add(s.sketch, x)
+		}
+		if s.digest != nil {
+			s.digest.Add(x)
 		}
 		added++
 	}
@@ -341,8 +362,14 @@ func (s *Set) Remove(xs ...uint64) int {
 			continue
 		}
 		delete(s.elems, x)
+		if s.delta != nil {
+			s.delta.Remove(x)
+		}
 		if s.sketch != nil {
 			s.tow.Remove(s.sketch, x)
+		}
+		if s.digest != nil {
+			s.digest.Remove(x)
 		}
 		removed++
 	}
@@ -353,12 +380,12 @@ func (s *Set) Remove(xs ...uint64) int {
 }
 
 // sharedView returns the cached immutable view of the set (with its
-// estimator sketch materialized), rebuilding it after a mutation. The
-// rebuild collects the elements and re-derives the snapshot, but never
-// re-validates elements (they were validated at insertion) and never
-// re-sketches (the sketch is maintained incrementally); the per-plan group
-// partitions and the verification digest are then re-cached lazily inside
-// the view as sessions need them.
+// estimator sketch materialized), deriving a new one after a mutation.
+// The first view sorts the elements into the snapshot base; every later
+// one is that base plus the changes since (see core.Delta), so it costs
+// O(k) for k changes — no element is re-validated, re-sketched or
+// re-partitioned. The per-plan group partitions and round-1 folds live
+// with the base and carry over from view to view.
 func (s *Set) sharedView() (*SharedSet, error) {
 	return s.view(true)
 }
@@ -371,15 +398,26 @@ func (s *Set) view(withSketch bool) (*SharedSet, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.shared == nil {
-		elems := make([]uint64, 0, len(s.elems))
-		for x := range s.elems {
-			elems = append(elems, x)
+		if s.delta == nil {
+			elems := make([]uint64, 0, len(s.elems))
+			for x := range s.elems {
+				elems = append(elems, x)
+			}
+			slices.Sort(elems)
+			base, err := core.NewValidatedSnapshot(elems, s.cfg.opt.coreConfig())
+			if err != nil {
+				return nil, err
+			}
+			s.delta = core.NewDelta(base)
 		}
-		snap, err := core.NewValidatedSnapshot(elems, s.cfg.opt.coreConfig())
-		if err != nil {
-			return nil, err
+		ss := &SharedSet{opt: s.cfg.opt, snap: s.delta.Snapshot(), tow: s.tow}
+		if s.digest != nil {
+			digest := s.digest.Sum()
+			ss.digestOnce.Do(func() { ss.digest = digest })
+		} else {
+			ss.origin = s
 		}
-		s.shared = &SharedSet{opt: s.cfg.opt, snap: snap, tow: s.tow}
+		s.shared = ss
 	}
 	if withSketch {
 		if s.sketch == nil {
@@ -398,6 +436,26 @@ func (s *Set) view(withSketch bool) (*SharedSet, error) {
 		s.shared.sketchOnce.Do(func() { s.shared.sketch = sketch })
 	}
 	return s.shared, nil
+}
+
+// viewDigest answers the first digest request of view ss: when ss is
+// still the current view, the handle's own digest is built from the
+// elements (once) and then maintained under Add/Remove, so no later view
+// pays an O(|S|) pass for it. A stale view reports false and hashes its
+// own snapshot instead.
+func (s *Set) viewDigest(ss *SharedSet) (msethash.Digest, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.shared != ss {
+		return msethash.Digest{}, false
+	}
+	if s.digest == nil {
+		s.digest = msethash.New(s.cfg.opt.Seed ^ verifySeedTweak)
+		for x := range s.elems {
+			s.digest.Add(x)
+		}
+	}
+	return s.digest.Sum(), true
 }
 
 // sessionOptions makes a Set a Server registry source (see RegisterSet):

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pbs/internal/msethash"
 	"pbs/internal/workload"
 )
 
@@ -224,10 +225,10 @@ func TestSetServeCancellation(t *testing.T) {
 	waitNoExtraGoroutines(t, base)
 }
 
-// TestSetMutateDuringSync hammers Add/Remove on both handles while syncs
-// are in flight between them — the race-detector acceptance test for the
-// mutable handle. A final quiescent sync must still learn the exact
-// difference.
+// TestSetMutateDuringSync hammers Add/Remove on the initiator while syncs
+// are in flight — the race-detector acceptance test for the mutable
+// handle. Every sync must learn the workload difference plus nothing but
+// tagged churn, and a final quiescent sync the exact difference.
 func TestSetMutateDuringSync(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 3000, D: 60, Seed: 65})
 	opt := []Option{WithSeed(66)}
@@ -240,39 +241,39 @@ func TestSetMutateDuringSync(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Churn only the initiator, in a tagged range: odd offsets from
+	// tagBase, high enough not to collide with the generated IDs. Up to
+	// 256 tagged elements are live at a time — past the threshold at
+	// which the handle compacts its changes into a fresh snapshot base.
+	const tagBase = 0xF000_0001
+	tagged := func(x uint64) bool { return x >= tagBase && (x-tagBase)%2 == 0 }
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for _, s := range []*Set{sa, sb} {
-		wg.Add(1)
-		go func(s *Set) {
-			defer wg.Done()
-			// Churn elements in a private 33-bit-tagged range so the
-			// workload's ground truth stays intact... except these all fit
-			// 32 bits: use a high odd range unlikely to collide with the
-			// generated IDs, and remove everything added before exiting.
-			var mine []uint64
-			for i := uint64(0); ; i++ {
-				select {
-				case <-stop:
-					s.Remove(mine...)
-					return
-				default:
-				}
-				x := 0xF000_0001 + i*2
-				if _, err := s.Add(x); err != nil {
-					t.Error(err)
-					return
-				}
-				mine = append(mine, x)
-				if len(mine) > 64 {
-					s.Remove(mine[0])
-					mine = mine[1:]
-				}
-				s.Len()
-				s.Contains(x)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var mine []uint64
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				sa.Remove(mine...)
+				return
+			default:
 			}
-		}(s)
-	}
+			x := tagBase + i*2
+			if _, err := sa.Add(x); err != nil {
+				t.Error(err)
+				return
+			}
+			mine = append(mine, x)
+			if len(mine) > 256 {
+				sa.Remove(mine[0])
+				mine = mine[1:]
+			}
+			sa.Len()
+			sa.Contains(x)
+		}
+	}()
 
 	for i := 0; i < 8; i++ {
 		ca, cb := net.Pipe()
@@ -281,12 +282,33 @@ func TestSetMutateDuringSync(t *testing.T) {
 			defer cb.Close()
 			respErr <- sb.Respond(context.Background(), cb)
 		}()
-		if _, err := sa.Sync(context.Background(), ca); err != nil {
+		res, err := sa.Sync(context.Background(), ca)
+		if err != nil {
 			t.Fatalf("sync %d: %v", i, err)
 		}
 		ca.Close()
 		if err := <-respErr; err != nil {
 			t.Fatalf("respond %d: %v", i, err)
+		}
+		// Each sync reconciles the view current when it started: the
+		// workload difference plus whatever tagged elements were live.
+		if !res.Complete {
+			t.Fatalf("sync %d incomplete", i)
+		}
+		got := make(map[uint64]bool, len(res.Difference))
+		for _, x := range res.Difference {
+			got[x] = true
+		}
+		for _, x := range p.Diff {
+			if !got[x] {
+				t.Fatalf("sync %d: difference misses workload element %#x", i, x)
+			}
+			delete(got, x)
+		}
+		for x := range got {
+			if !tagged(x) {
+				t.Fatalf("sync %d: difference holds %#x, outside the workload difference and the tagged range", i, x)
+			}
 		}
 	}
 	close(stop)
@@ -731,5 +753,122 @@ func TestSetServeRejectsBadPerCallOptions(t *testing.T) {
 	if err := s.Serve(context.Background(), ln, WithDelta(-1)); err == nil ||
 		!strings.HasPrefix(err.Error(), "pbs:") {
 		t.Fatalf("Serve accepted invalid options: %v", err)
+	}
+}
+
+// TestWarmChurnedSyncAllocatesLessThanTheSet: a warm handle that toggles a
+// few elements between syncs derives each view from its previous base in
+// O(changes), so a sync over 200k elements must allocate less than one
+// copy of the set (8 bytes per element), counting both endpoints.
+func TestWarmChurnedSyncAllocatesLessThanTheSet(t *testing.T) {
+	const size = 200_000
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: size, D: 10, Seed: 91})
+	sa, err := NewSet(p.A, WithSeed(92), WithFastSync(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := NewSet(p.B, WithSeed(92))
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn := p.B[:5]
+	parked := false
+	syncOnce := func() {
+		t.Helper()
+		if parked {
+			sa.Add(churn...)
+		} else {
+			sa.Remove(churn...)
+		}
+		parked = !parked
+		ca, cb := net.Pipe()
+		go func() {
+			defer cb.Close()
+			sb.Respond(context.Background(), cb)
+		}()
+		res, err := sa.Sync(context.Background(), ca)
+		ca.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(p.Diff)
+		if parked {
+			want += len(churn)
+		}
+		if !res.Complete || len(res.Difference) != want {
+			t.Fatalf("sync learned %d elements (complete=%v), want %d", len(res.Difference), res.Complete, want)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		syncOnce()
+	}
+	const syncs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < syncs; i++ {
+		syncOnce()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / syncs; per >= 8*size {
+		t.Fatalf("warm churned sync allocates %d bytes, want < %d (one copy of the set)", per, 8*size)
+	} else {
+		t.Logf("warm churned sync allocates %d bytes per sync", per)
+	}
+}
+
+// TestSetVerifyDigestMaintained: once a StrongVerify sync has asked for
+// the digest, the handle keeps it exact under Add/Remove and presets it on
+// every later view, so verifying a churned set costs no pass over it — on
+// the initiator and on a responder handle alike.
+func TestSetVerifyDigestMaintained(t *testing.T) {
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 4000, D: 30, Seed: 93})
+	sa, err := NewSet(p.A, WithSeed(94))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := NewSet(p.B, WithSeed(94))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range p.B[:40] {
+		if i > 0 {
+			// Churn both sides: each sync verifies a freshly derived view.
+			sa.Remove(x)
+			sb.Add(0xF000_0001 + uint64(2*i))
+		}
+		for _, fast := range []bool{false, true} {
+			ca, cb := net.Pipe()
+			respErr := make(chan error, 1)
+			go func() {
+				defer cb.Close()
+				respErr <- sb.Respond(context.Background(), cb)
+			}()
+			res, err := sa.Sync(context.Background(), ca, WithStrongVerify(true), WithFastSync(fast))
+			ca.Close()
+			if err != nil {
+				t.Fatalf("sync %d: %v", i, err)
+			}
+			if err := <-respErr; err != nil {
+				t.Fatalf("respond %d: %v", i, err)
+			}
+			if !res.Complete {
+				t.Fatalf("sync %d incomplete", i)
+			}
+		}
+	}
+	for _, s := range []*Set{sa, sb} {
+		ss, err := s.sharedView()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ss.origin != nil {
+			t.Fatal("a view taken after the first verification must carry a preset digest")
+		}
+		want := msethash.New(s.cfg.opt.Seed ^ verifySeedTweak)
+		want.AddSet(s.Elements())
+		if ss.verifyDigest() != want.Sum() {
+			t.Fatal("maintained digest diverged from the set")
+		}
 	}
 }
