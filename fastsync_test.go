@@ -153,7 +153,7 @@ func TestFastSyncWireEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		is, opening, err := ssA.newFastInitiatorSession(ssA.opt, nil, "", 80)
+		is, opening, err := ssA.newFastInitiatorSession(ssA.opt, nil, "", 80, 0, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestFastSyncUndersizedSpeculation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, opening, err := ssA.newFastInitiatorSession(ssA.opt, nil, "", specD)
+	is, opening, err := ssA.newFastInitiatorSession(ssA.opt, nil, "", specD, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestFastSyncDeclinedSpeculation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, opening, err := ssA.newFastInitiatorSession(ssA.opt, nil, "", 1)
+	is, opening, err := ssA.newFastInitiatorSession(ssA.opt, nil, "", 1, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func TestFastHelloVersionNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, _, err := ssA.newFastInitiatorSession(ssA.opt, nil, "", 5)
+	is, _, err := ssA.newFastInitiatorSession(ssA.opt, nil, "", 5, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}

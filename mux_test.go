@@ -211,7 +211,7 @@ func muxRawNegotiate(t *testing.T, conn net.Conn, local []uint64, opt *Options, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, opening, err := ss.newFastInitiatorSessionFeatures(ss.opt, nil, "", 32, features, true)
+	is, opening, err := ss.newFastInitiatorSession(ss.opt, nil, "", 32, features, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func muxRawSync(t *testing.T, conn net.Conn, id uint64, local []uint64, opt *Opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, opening, err := ss.newFastInitiatorSession(ss.opt, nil, "", 32)
+	is, opening, err := ss.newFastInitiatorSession(ss.opt, nil, "", 32, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}

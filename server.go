@@ -24,11 +24,14 @@ import (
 // strong-verification digest, one group partition per plan size — instead
 // of N private copies.
 //
-// A session manager enforces per-session limits on top of the engine's
+// One connection loop enforces per-session limits on top of the engine's
 // own hardening (Options.MaxD): a cap on concurrent sessions, an idle
 // deadline per frame, a total byte budget per session, and a round
-// budget. Violations are reported to the client as a final msgError frame
-// before the connection closes, and counted in the server stats.
+// budget. A plain connection is one implicit stream; one that negotiates
+// multiplexing carries many, each under the same limits. Violations are
+// reported to the client as a coded msgError — a plain connection's final
+// frame, or an enveloped close on the failing mux stream alone — and
+// counted in the server stats.
 //
 // Protocol: a client may open with a msgHello frame naming the registered
 // set to reconcile against; without one the session uses DefaultSetName.
@@ -37,10 +40,10 @@ import (
 // instead opens with a single msgHelloV1 frame (name, sketches, and a
 // speculative first round in one), which the server admits and answers
 // identically — the common warm sync then completes in one round trip.
-// After a completed
-// session the connection stays open and accepts another hello/estimate, so
-// a warm client (Set.Sync over a held connection) amortizes the dial
-// across many syncs; each session gets fresh byte and round budgets.
+// After a completed session the connection stays open and accepts another
+// hello/estimate, so a warm client (Set.Sync over a held connection)
+// amortizes the dial across many syncs; each session gets fresh byte and
+// round budgets.
 type Server struct {
 	opt ServerOptions
 	// protoOpt is opt.Protocol with defaults applied, resolved once; every
@@ -275,15 +278,6 @@ func (o ServerOptions) maxStreams() int {
 		return 0
 	}
 	return DefaultMaxStreams
-}
-
-// allowedFeatures is the feature bitmap the connection loop may grant to a
-// version-2 fast hello: mux (plus compression) whenever mux is enabled.
-func (o ServerOptions) allowedFeatures() uint64 {
-	if o.maxStreams() <= 0 {
-		return 0
-	}
-	return featureMux | featureLZ
 }
 
 // ServerStats is a point-in-time snapshot of a Server's counters, fit for
@@ -526,23 +520,11 @@ func (s *Server) Unregister(name string) bool {
 }
 
 // rejection is why startSession turned a session away: the client-facing
-// diagnostic plus its structured code and retry-after hint. transient
-// rejections (shutdown drain, session quota — conditions that clear on
-// their own) count as rejected; the rest count as failed sessions.
+// diagnostic plus its structured code and retry-after hint.
 type rejection struct {
-	msg       string
-	code      string
-	retry     time.Duration
-	transient bool
-}
-
-// count records the rejection in the server stats.
-func (r *rejection) count(s *Server) {
-	if r.transient {
-		s.rejected.Add(1)
-	} else {
-		s.failed.Add(1)
-	}
+	msg   string
+	code  string
+	retry time.Duration
 }
 
 // startSession resolves name and admits a new responder session. The
@@ -551,55 +533,44 @@ func (r *rejection) count(s *Server) {
 // half-admitted; the registry lookup takes only the name's shard read
 // lock, and the view materialization (which may be O(|S|) right after a
 // mutation of a registered Set, or a cold load for a hosted one) happens
-// outside both. The returned session carries a release hook returning the
-// tenant's session-quota slot; every sessActive decrement must pair with
-// runRelease.
+// outside both. A rejection is counted here: transient ones (shutdown
+// drain, session quota — conditions that clear on their own) as rejected,
+// the rest as failed sessions. The returned session carries a release hook
+// returning the tenant's session-quota slot; every sessActive decrement
+// must pair with runRelease.
 func (s *Server) startSession(name string) (*ResponderSession, *rejection) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, &rejection{msg: "server shutting down", code: ErrCodeBusy, retry: s.opt.retryAfterHint(), transient: true}
+		s.rejected.Add(1)
+		return nil, &rejection{msg: "server shutting down", code: ErrCodeBusy, retry: s.opt.retryAfterHint()}
 	}
 	s.sessActive.Add(1)
 	s.mu.Unlock()
 	src, ok := s.sets.Get(name)
 	if !ok {
 		s.sessActive.Add(-1)
+		s.failed.Add(1)
 		return nil, &rejection{msg: fmt.Sprintf("unknown set %q", name), code: ErrCodeRejected}
 	}
 	if err := s.sets.BeginSession(name); err != nil {
 		s.sessActive.Add(-1)
 		s.quotaRejections.Add(1)
+		s.rejected.Add(1)
 		// Session quotas clear as the tenant's other sessions drain, so the
 		// rejection is retryable with the standard hint.
-		return nil, &rejection{msg: err.Error(), code: ErrCodeQuota, retry: s.opt.retryAfterHint(), transient: true}
+		return nil, &rejection{msg: err.Error(), code: ErrCodeQuota, retry: s.opt.retryAfterHint()}
 	}
 	ss, err := src.sharedView()
 	if err != nil {
 		s.sets.EndSession(name)
 		s.sessActive.Add(-1)
+		s.failed.Add(1)
 		return nil, &rejection{msg: err.Error(), code: ErrCodeRejected}
 	}
 	sess := ss.newServerSession(src.sessionOptions())
 	sess.release = func() { s.sets.EndSession(name) }
 	return sess, nil
-}
-
-// admit starts a session against the named set, handling the rejection
-// accounting and client diagnostic when it cannot. A nil return means the
-// connection should close.
-func (s *Server) admit(conn net.Conn, name string) *ResponderSession {
-	sess, rej := s.startSession(name)
-	if sess == nil {
-		rej.count(s)
-		s.sendCodedError(conn, rej.msg, rej.code, rej.retry)
-		return nil
-	}
-	// Sessions on the sequential connection loop may negotiate the mux
-	// upgrade; sessions a muxLoop admits per stream go through startSession
-	// directly and never re-negotiate (no mux inside mux).
-	sess.allowFeatures = s.opt.allowedFeatures()
-	return sess
 }
 
 // Stats returns a snapshot of the server counters and session histograms.
@@ -696,7 +667,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
-		go s.handle(conn)
+		go s.serveConn(conn)
 	}
 }
 
@@ -757,21 +728,16 @@ func (s *Server) Shutdown(timeout time.Duration) bool {
 	return drained
 }
 
-// sendError reports a session failure to the client as a final msgError
+// sendCodedError reports a failure to the client as a final msgError
 // frame, on a short deadline so a stalled peer cannot pin the goroutine.
+// The structured code and optional retry-after hint ride as the
+// backward-compatible msgError suffix: current clients decode it into a
+// *PeerError, legacy clients see (and log) it as part of the plain string.
 // The connection usually still has unread frames from the client (e.g. the
 // estimate of a just-rejected session); closing with those pending would
 // RST the socket and can destroy the diagnostic before the client reads
 // it, so the write side is half-closed and the inbound leftovers drained
 // briefly first.
-func (s *Server) sendError(conn net.Conn, msg string) {
-	s.sendCodedError(conn, msg, ErrCodeRejected, 0)
-}
-
-// sendCodedError is sendError with a structured code and optional
-// retry-after hint appended as the backward-compatible msgError suffix:
-// current clients decode it into a *PeerError, legacy clients see (and
-// log) the suffix as part of the plain string.
 func (s *Server) sendCodedError(conn net.Conn, msg, code string, retryAfter time.Duration) {
 	payload := appendErrCode(msg, code, retryAfter)
 	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
@@ -786,14 +752,22 @@ func (s *Server) sendCodedError(conn net.Conn, msg, code string, retryAfter time
 	io.Copy(io.Discard, io.LimitReader(conn, maxFrame))
 }
 
-// handle pumps frames between one connection and its responder sessions,
-// enforcing the per-session limits. A connection carries sessions in
-// sequence: after a completed session (the initiator's msgDone) the
-// connection stays open and a fresh msgHello or msgEstimate starts the
-// next one with its budgets reset — how a warm client fleet amortizes the
-// dial across many syncs. Frame payloads are read into one pooled buffer
-// per connection, reused across frames and sessions.
-func (s *Server) handle(conn net.Conn) {
+// serveConn runs one connection: the capacity checks, then the frame loop
+// that drives every session the connection carries.
+//
+// A connection starts plain: every frame belongs to one implicit stream,
+// whose session the first frame admits. After a completed session (the
+// initiator's msgDone) the connection stays open and the next frame admits
+// the next session under fresh budgets — how a warm client fleet amortizes
+// the dial across many syncs. A hello reply that grants featureMux
+// switches the same loop to enveloped frames: the live session continues
+// as stream 1, and further streams open and close by envelope flags.
+// Admission, budgets, the coalesced write, completion stats, the idle
+// sweep, and teardown are one code path for both modes; only the framing,
+// the pre-read frame limit, and what a failure does to the connection
+// differ. Frame payloads are read into one pooled buffer per connection,
+// reused across frames and sessions.
+func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
 		s.mu.Lock()
@@ -823,459 +797,378 @@ func (s *Server) handle(conn net.Conn) {
 
 	buf := getPayloadBuf()
 	defer putPayloadBuf(buf)
-
-	var (
-		sess         *ResponderSession
-		sessStart    time.Time
-		sessionBytes int64
-		roundFrames  int
-	)
-	defer func() {
-		if sess != nil {
-			sess.runRelease()
-			s.sessActive.Add(-1)
-		}
-	}()
-	fail := func(msg string) {
-		s.failed.Add(1)
-		s.sendError(conn, msg)
+	c := &srvConn{
+		s:       s,
+		conn:    conn,
+		idle:    s.opt.idleTimeout(),
+		hint:    uint64(cur),
+		streams: make(map[uint64]*srvStream, 1),
 	}
+	defer c.teardown()
+	lastSweep := time.Now()
 	for {
-		if t := s.opt.idleTimeout(); t > 0 {
-			conn.SetReadDeadline(time.Now().Add(t))
-		}
-		// Refuse frames whose declared size alone would bust the session's
-		// remaining byte budget — before reading (or holding) any payload.
-		limit := uint32(maxFrame)
-		if budget := s.opt.sessionByteBudget(); budget > 0 {
-			remain := budget - sessionBytes - 5
-			if remain < 0 {
-				remain = 0
+		if c.idle > 0 {
+			if time.Since(lastSweep) >= c.idle/2 {
+				lastSweep = time.Now()
+				if !c.sweep() {
+					return
+				}
 			}
-			if remain < int64(limit) {
-				limit = uint32(remain)
-			}
+			conn.SetReadDeadline(time.Now().Add(c.idle))
 		}
+		limit := c.frameLimit()
 		typ, payload, err := readFrameInto(conn, limit, (*buf)[:0])
 		if payload != nil {
 			*buf = payload[:0]
 		}
 		if err != nil {
-			// A frame rejected on its declared size gets the diagnostic the
-			// client can act on; plain transport errors do not.
+			// A frame a plain connection refused on its declared size gets
+			// the diagnostic the client can act on. Transport errors do
+			// not: a connection that ends between sessions — clean EOF,
+			// reset, or idle-deadline expiry alike — is a probe, a
+			// dial-and-abort, or a warm client hanging up after its last
+			// sync, and teardown counts only sessions left mid-flight.
 			var fle *frameLimitError
-			if errors.As(err, &fle) {
+			if !c.mux && errors.As(err, &fle) {
+				msg := err.Error()
 				if limit < maxFrame {
-					fail("session byte budget exceeded")
-				} else {
-					fail(err.Error())
+					msg = "session byte budget exceeded"
 				}
-				return
-			}
-			// A connection that ends between sessions — clean EOF, reset,
-			// or idle-deadline expiry alike — is a probe, a dial-and-abort,
-			// or a warm client hanging up after its last sync, not a
-			// failed session.
-			if sess != nil || sessionBytes > 0 {
-				s.failed.Add(1)
+				c.fail(0, c.streams[0], msg)
 			}
 			return
 		}
-		n := int64(5 + len(payload))
-		sessionBytes += n
-		s.bytesIn.Add(n)
-		if budget := s.opt.sessionByteBudget(); budget > 0 && sessionBytes > budget {
-			fail("session byte budget exceeded")
+		if !c.serveFrame(typ, payload) {
 			return
-		}
-
-		if typ == msgHello {
-			if sess != nil {
-				fail("hello after session start")
-				return
-			}
-			if sess = s.admit(conn, string(payload)); sess == nil {
-				return
-			}
-			sessStart = time.Now()
-			continue
-		}
-		if typ == msgHelloV1 && sess == nil {
-			// A fast hello both names the set and opens the session, so the
-			// admission happens here and the frame still reaches the engine.
-			name, err := fastHelloSetName(payload)
-			if err != nil {
-				fail(err.Error())
-				return
-			}
-			if name == "" {
-				name = DefaultSetName
-			}
-			if sess = s.admit(conn, name); sess == nil {
-				return
-			}
-			sessStart = time.Now()
-		}
-		if sess == nil {
-			if sess = s.admit(conn, DefaultSetName); sess == nil {
-				return
-			}
-			sessStart = time.Now()
-		}
-		if typ == msgRound || typ == msgHelloV1 {
-			// A fast hello carries a speculative round, so it spends the
-			// round budget like any msgRound.
-			roundFrames++
-			if max := s.opt.sessionMaxRounds(); max > 0 && roundFrames > max {
-				fail("session round budget exceeded")
-				return
-			}
-		}
-
-		out, done, stepErr := sess.Step(typ, payload)
-		if len(out) > 0 {
-			// The idle deadline covers writes too: a client that stops
-			// reading must not pin this goroutine (and its session slot)
-			// in a blocked send forever. The step's frames go out in one
-			// coalesced write.
-			if t := s.opt.idleTimeout(); t > 0 {
-				conn.SetWriteDeadline(time.Now().Add(t))
-			}
-			if werr := writeFrames(conn, out); werr != nil {
-				if stepErr == nil {
-					stepErr = werr
-				}
-			} else {
-				var wn int64
-				for _, f := range out {
-					wn += int64(5 + len(f.Payload))
-				}
-				sessionBytes += wn
-				s.bytesOut.Add(wn)
-			}
-		}
-		if stepErr == nil {
-			if budget := s.opt.sessionByteBudget(); budget > 0 && sessionBytes > budget {
-				fail("session byte budget exceeded")
-				return
-			}
-		}
-		if stepErr != nil {
-			fail(stepErr.Error())
-			return
-		}
-		if done {
-			// Only a session that actually started reconciling (answered
-			// an estimate) counts as completed; a probe that sends a bare
-			// msgDone must not inflate the success counter.
-			if sess.started() {
-				s.completed.Add(1)
-				s.rounds.Add(int64(sess.Rounds()))
-				s.adaptiveReplans.Add(int64(sess.adaptiveReplans()))
-				if sess.specAccepted {
-					s.priorHits.Add(1)
-				}
-				hint := uint64(cur)
-				s.latencyHist.Record(hint, time.Since(sessStart).Microseconds())
-				s.roundsHist.Record(hint, int64(sess.Rounds()))
-				s.bytesHist.Record(hint, sessionBytes)
-			}
-			// Keep the connection: the next msgHello or msgEstimate opens
-			// a fresh session under fresh budgets.
-			sess.runRelease()
-			s.sessActive.Add(-1)
-			sess = nil
-			sessionBytes, roundFrames = 0, 0
-		}
-		if sess != nil {
-			if g := sess.grantedFeatures(); g&featureMux != 0 {
-				// The hello reply that granted mux just went out, and the
-				// fast-path initiator sends nothing until it has read it —
-				// so the very next inbound frame is already enveloped.
-				// Ownership of the session (and its sessActive slot) moves
-				// to the demultiplexer as stream 1.
-				first := &srvStream{
-					sess:        sess,
-					start:       sessStart,
-					bytes:       sessionBytes,
-					roundFrames: roundFrames,
-					lastActive:  time.Now(),
-				}
-				sess = nil
-				s.muxLoop(conn, buf, cur, first, g&featureLZ != 0)
-				return
-			}
 		}
 	}
 }
 
-// srvStream is the server-side state of one mux stream: its session engine
-// plus the per-stream budget and accounting state the sequential loop
-// keeps in locals.
+// srvConn is one connection's state in the server loop: its framing mode
+// and its stream table. A plain connection's table holds at most the
+// implicit stream 0; after the mux upgrade it holds every open stream by
+// ID. Only streams with an admitted session are in the table.
+type srvConn struct {
+	s       *Server
+	conn    net.Conn
+	idle    time.Duration
+	hint    uint64 // histogram stripe hint: the connection count at accept
+	mux, lz bool   // envelopes (and lz compression inside them) granted
+	streams map[uint64]*srvStream
+}
+
+// srvStream is the server-side state of one session: its engine plus the
+// per-session budget and accounting state.
 type srvStream struct {
 	sess        *ResponderSession
 	start       time.Time
 	bytes       int64
 	roundFrames int
-	lastActive  time.Time
+	lastActive  time.Time // when the client's last frame was answered
 }
 
-// muxLoop is handle's demultiplexing sibling: after a fast hello
-// negotiates mux, the connection's frames carry stream envelopes and this
-// loop routes each to its stream's session engine. Per-stream budgets and
-// idle deadlines mirror the sequential loop's session limits exactly, and
-// every per-stream failure is enveloped back on that stream with a close
-// flag — one hostile or unlucky stream can never wedge its siblings. Step
-// outputs are batched into one write per inbound frame (the coalesced
-// write path), which round-robins the connection fairly because streams
-// are served strictly in frame-arrival order.
-func (s *Server) muxLoop(conn net.Conn, buf *[]byte, cur int64, first *srvStream, lzOn bool) {
-	streams := map[uint64]*srvStream{1: first}
-	s.streamsOpen.Add(1)
-	s.streamsTotal.Add(1)
-	defer func() {
-		// Connection teardown: streams that were mid-session fail; the
-		// clean case (every stream completed or closed first) has an empty
-		// table and counts nothing.
-		for _, st := range streams {
-			if st.sess.started() || st.bytes > 0 {
-				s.failed.Add(1)
-			}
-			st.sess.runRelease()
-			s.sessActive.Add(-1)
-			s.streamsOpen.Add(-1)
-		}
-	}()
-
-	// writeBatch sends one pre-assembled burst of enveloped frames under
-	// the idle write deadline. A write error is terminal for the whole
-	// connection — a partial frame poisons the framing for every stream.
-	writeBatch := func(b []byte) error {
-		if len(b) == 0 {
-			return nil
-		}
-		if t := s.opt.idleTimeout(); t > 0 {
-			conn.SetWriteDeadline(time.Now().Add(t))
-		}
-		if _, err := conn.Write(b); err != nil {
-			return err
-		}
-		s.bytesOut.Add(int64(len(b)))
-		return nil
+// frameLimit is the largest frame the next read accepts. A plain
+// connection refuses frames whose declared size alone would bust its
+// session's remaining byte budget — before reading (or holding) any
+// payload. A mux connection reads up to maxFrame and charges the frame to
+// its stream afterwards, so one stream's oversized frame fails that stream
+// alone instead of the connection its siblings share.
+func (c *srvConn) frameLimit() uint32 {
+	budget := c.s.opt.sessionByteBudget()
+	if c.mux || budget <= 0 {
+		return maxFrame
 	}
-	// streamError reports a per-stream failure to the client: a coded
-	// msgError enveloped on that stream with the close flag, leaving the
-	// connection (and every sibling stream) running.
-	streamError := func(id uint64, msg, code string, retryAfter time.Duration) error {
-		payload := appendErrCode(msg, code, retryAfter)
-		return writeBatch(muxAppendFrame(nil, id, muxFlagClose, msgError, []byte(payload)))
+	var spent int64
+	if st := c.streams[0]; st != nil {
+		spent = st.bytes
 	}
-	// dropStream releases a stream's slot; failed says whether it counts
-	// as a failed session (vs. completed or a never-started probe).
-	dropStream := func(id uint64, st *srvStream, failed bool) {
-		if failed {
-			s.failed.Add(1)
-		}
-		st.sess.runRelease()
-		s.sessActive.Add(-1)
-		s.streamsOpen.Add(-1)
-		delete(streams, id)
-	}
+	return uint32(min(max(budget-spent-5, 0), maxFrame))
+}
 
-	idle := s.opt.idleTimeout()
-	lastSweep := time.Now()
-	for {
-		if idle > 0 {
-			conn.SetReadDeadline(time.Now().Add(idle))
-		}
-		typ, payload, err := readFrameInto(conn, maxFrame, (*buf)[:0])
-		if payload != nil {
-			*buf = payload[:0]
-		}
-		if err != nil {
-			return
-		}
-		n := int64(5 + len(payload))
-		s.bytesIn.Add(n)
-
-		id, flags, body, perr := parseMuxPayload(payload)
-		if perr != nil || flags&^uint64(muxFlagKnown) != 0 {
+// serveFrame routes one inbound frame to its stream's session, enforcing the
+// per-session limits, and reports whether the connection lives on.
+func (c *srvConn) serveFrame(typ byte, payload []byte) bool {
+	s := c.s
+	n := int64(5 + len(payload))
+	s.bytesIn.Add(n)
+	var id, flags uint64
+	body := payload
+	if c.mux {
+		var err error
+		id, flags, body, err = parseMuxPayload(payload)
+		if err != nil || flags&^uint64(muxFlagKnown) != 0 {
 			// A malformed envelope means framing trust is gone; there is no
 			// stream to blame it on, so the connection dies.
-			return
+			return false
 		}
 		if flags&muxFlagCompressed != 0 {
-			if !lzOn {
-				return
+			if !c.lz {
+				return false
 			}
-			decoded, derr := lz.Decode(nil, body, maxFrame)
-			if derr != nil {
-				return
+			decoded, err := lz.Decode(nil, body, maxFrame)
+			if err != nil {
+				return false
 			}
 			s.bytesSaved.Add(int64(len(decoded) - len(body)))
 			body = decoded
 		}
+	}
 
-		st := streams[id]
-		if st == nil {
-			if flags&muxFlagOpen == 0 {
-				if typ == msgStreamClose || flags&muxFlagClose != 0 {
-					// Close for a stream already gone: a benign race between
-					// the client's close and our teardown.
-					continue
-				}
-				// Unknown stream: reject it with a coded error on that ID;
-				// the connection and its live streams are unaffected.
-				s.rejected.Add(1)
-				if werr := streamError(id, fmt.Sprintf("unknown stream %d", id), ErrCodeRejected, 0); werr != nil {
-					return
-				}
-				continue
-			}
-			if max := s.opt.maxStreams(); len(streams) >= max {
-				s.rejected.Add(1)
-				s.shed.Add(1)
-				if werr := streamError(id, "connection at stream capacity", ErrCodeBusy, s.opt.retryAfterHint()); werr != nil {
-					return
-				}
-				continue
-			}
-			name := DefaultSetName
-			switch typ {
-			case msgHello:
-				name = string(body)
-			case msgHelloV1:
-				if hn, herr := fastHelloSetName(body); herr != nil {
-					s.failed.Add(1)
-					if werr := streamError(id, herr.Error(), ErrCodeRejected, 0); werr != nil {
-						return
-					}
-					continue
-				} else if hn != "" {
-					name = hn
-				}
-			}
-			sess, rej := s.startSession(name)
-			if sess == nil {
-				rej.count(s)
-				if werr := streamError(id, rej.msg, rej.code, rej.retry); werr != nil {
-					return
-				}
-				continue
-			}
-			st = &srvStream{sess: sess, start: time.Now()}
-			streams[id] = st
-			s.streamsOpen.Add(1)
-			s.streamsTotal.Add(1)
-		} else if flags&muxFlagOpen != 0 {
-			if werr := streamError(id, fmt.Sprintf("duplicate open for stream %d", id), ErrCodeRejected, 0); werr != nil {
-				return
-			}
-			dropStream(id, st, true)
-			continue
+	st := c.streams[id]
+	opened := st == nil
+	if opened {
+		var ok bool
+		if st, ok = c.open(id, flags, typ, body); st == nil {
+			return ok
 		}
-		st.lastActive = time.Now()
-		st.bytes += n
+	} else if flags&muxFlagOpen != 0 {
+		return c.fail(id, st, fmt.Sprintf("duplicate open for stream %d", id))
+	}
+	st.bytes += n
+	if budget := s.opt.sessionByteBudget(); budget > 0 && st.bytes > budget {
+		return c.fail(id, st, "session byte budget exceeded")
+	}
+	switch typ {
+	case msgStreamClose:
+		if c.mux {
+			// Client abandoned the stream mid-session (its msgDone rides
+			// the close flag on the session's own goodbye instead).
+			c.drop(id, st, st.sess.started() || st.bytes > n)
+			return true
+		}
+	case msgHello:
+		// A bare hello only ever opens a session, naming its set at
+		// admission; one on a session already open is a violation.
+		if !opened {
+			return c.fail(id, st, "hello after session start")
+		}
+		return true
+	case msgRound, msgHelloV1:
+		// A fast hello carries a speculative round, so it spends the
+		// round budget like any msgRound.
+		st.roundFrames++
+		if max := s.opt.sessionMaxRounds(); max > 0 && st.roundFrames > max {
+			return c.fail(id, st, "session round budget exceeded")
+		}
+	}
+
+	out, done, err := st.sess.Step(typ, body)
+	if err != nil {
+		return c.fail(id, st, err.Error())
+	}
+	if len(out) > 0 {
+		wn, err := c.send(id, 0, out)
+		if err != nil {
+			// A partial frame poisons the framing for every stream.
+			return false
+		}
+		st.bytes += wn
 		if budget := s.opt.sessionByteBudget(); budget > 0 && st.bytes > budget {
-			if werr := streamError(id, "session byte budget exceeded", ErrCodeRejected, 0); werr != nil {
-				return
-			}
-			dropStream(id, st, true)
-			continue
+			return c.fail(id, st, "session byte budget exceeded")
 		}
+	}
+	if done {
+		c.complete(id, st)
+		return true
+	}
+	st.lastActive = time.Now()
+	if g := st.sess.granted; g&featureMux != 0 && !c.mux {
+		// The hello reply that granted mux just went out, and the
+		// fast-path initiator sends nothing until it has read it — so the
+		// very next inbound frame is already enveloped. The live session
+		// continues as stream 1.
+		c.mux, c.lz = true, g&featureLZ != 0
+		delete(c.streams, id)
+		c.streams[1] = st
+		s.streamsOpen.Add(1)
+		s.streamsTotal.Add(1)
+	}
+	return true
+}
 
-		if typ == msgStreamClose {
-			// Client abandoned the stream mid-session (its msgDone rides the
-			// close flag on the session's own goodbye instead).
-			dropStream(id, st, st.sess.started() || st.bytes > n)
-			continue
-		}
-		if typ == msgHello {
-			// The envelope's open flag already did the naming; a bare hello
-			// frame only exists as a stream's opening frame.
-			if st.sess.started() {
-				if werr := streamError(id, "hello after session start", ErrCodeRejected, 0); werr != nil {
-					return
-				}
-				dropStream(id, st, true)
+// open admits the session of a stream's first frame. On a plain
+// connection any frame opens the implicit stream; on a mux connection only
+// a frame carrying the open flag does, under the MaxStreams cap. A msgHello
+// body or a msgHelloV1's set name picks the set, DefaultSetName otherwise.
+// A nil stream means the frame was answered (or ignored) without a
+// session; ok reports whether the connection lives on.
+func (c *srvConn) open(id, flags uint64, typ byte, body []byte) (st *srvStream, ok bool) {
+	s := c.s
+	if c.mux {
+		if flags&muxFlagOpen == 0 {
+			if typ == msgStreamClose || flags&muxFlagClose != 0 {
+				// Close for a stream already gone: a benign race between
+				// the client's close and our teardown.
+				return nil, true
 			}
-			continue
+			s.rejected.Add(1)
+			return nil, c.refuse(id, fmt.Sprintf("unknown stream %d", id), ErrCodeRejected, 0)
 		}
-		if typ == msgRound || typ == msgHelloV1 {
-			st.roundFrames++
-			if max := s.opt.sessionMaxRounds(); max > 0 && st.roundFrames > max {
-				if werr := streamError(id, "session round budget exceeded", ErrCodeRejected, 0); werr != nil {
-					return
-				}
-				dropStream(id, st, true)
-				continue
-			}
+		if len(c.streams) >= s.opt.maxStreams() {
+			s.rejected.Add(1)
+			s.shed.Add(1)
+			return nil, c.refuse(id, "connection at stream capacity", ErrCodeBusy, s.opt.retryAfterHint())
 		}
+	}
+	name := DefaultSetName
+	switch typ {
+	case msgHello:
+		name = string(body)
+	case msgHelloV1:
+		hn, err := fastHelloSetName(body)
+		if err != nil {
+			return nil, c.fail(id, nil, err.Error())
+		}
+		if hn != "" {
+			name = hn
+		}
+	}
+	sess, rej := s.startSession(name)
+	if sess == nil {
+		return nil, c.refuse(id, rej.msg, rej.code, rej.retry)
+	}
+	if c.mux {
+		s.streamsOpen.Add(1)
+		s.streamsTotal.Add(1)
+	} else if s.opt.maxStreams() > 0 {
+		// Only a session on a still-plain connection may negotiate the
+		// mux upgrade (plus compression): no mux inside mux.
+		sess.allowFeatures = featureMux | featureLZ
+	}
+	now := time.Now()
+	st = &srvStream{sess: sess, start: now, lastActive: now}
+	c.streams[id] = st
+	return st, true
+}
 
-		out, done, stepErr := st.sess.Step(typ, body)
-		if len(out) > 0 && stepErr == nil {
-			batch := getPayloadBuf()
-			b := (*batch)[:0]
-			for _, f := range out {
-				wireBody, compressed := muxCompressBody(f.Payload, lzOn)
-				var fl uint64
-				if compressed {
-					fl = muxFlagCompressed
-					s.bytesSaved.Add(int64(len(f.Payload) - len(wireBody)))
-				}
-				b = muxAppendFrame(b, id, fl, f.Type, wireBody)
-			}
-			werr := writeBatch(b)
-			*batch = b[:0]
-			putPayloadBuf(batch)
-			if werr != nil {
-				return
-			}
-			st.bytes += int64(len(b))
-			if budget := s.opt.sessionByteBudget(); budget > 0 && st.bytes > budget {
-				if werr := streamError(id, "session byte budget exceeded", ErrCodeRejected, 0); werr != nil {
-					return
-				}
-				dropStream(id, st, true)
-				continue
-			}
+// complete retires a stream its initiator closed with msgDone. Only a
+// session that actually started reconciling (answered an estimate) counts
+// as completed; a probe that sends a bare msgDone must not inflate the
+// success counter.
+func (c *srvConn) complete(id uint64, st *srvStream) {
+	s, sess := c.s, st.sess
+	if sess.started() {
+		s.completed.Add(1)
+		s.rounds.Add(int64(sess.Rounds()))
+		s.adaptiveReplans.Add(int64(sess.adaptiveReplans()))
+		if sess.specAccepted {
+			s.priorHits.Add(1)
 		}
-		if stepErr != nil {
-			if werr := streamError(id, stepErr.Error(), ErrCodeRejected, 0); werr != nil {
-				return
-			}
-			dropStream(id, st, true)
-			continue
-		}
-		if done {
-			if st.sess.started() {
-				s.completed.Add(1)
-				s.rounds.Add(int64(st.sess.Rounds()))
-				s.adaptiveReplans.Add(int64(st.sess.adaptiveReplans()))
-				if st.sess.specAccepted {
-					s.priorHits.Add(1)
-				}
-				hint := uint64(cur)
-				s.latencyHist.Record(hint, time.Since(st.start).Microseconds())
-				s.roundsHist.Record(hint, int64(st.sess.Rounds()))
-				s.bytesHist.Record(hint, st.bytes)
-			}
-			dropStream(id, st, false)
-		}
+		s.latencyHist.Record(c.hint, time.Since(st.start).Microseconds())
+		s.roundsHist.Record(c.hint, int64(sess.Rounds()))
+		s.bytesHist.Record(c.hint, st.bytes)
+	}
+	c.drop(id, st, false)
+}
 
-		if idle > 0 && time.Since(lastSweep) >= idle/2 {
-			// Per-stream idleness: the connection-level read deadline only
-			// fires when every stream is silent, so streams that went quiet
-			// while siblings stay busy are swept here.
-			lastSweep = time.Now()
-			for sid, sst := range streams {
-				if time.Since(sst.lastActive) > idle {
-					if werr := streamError(sid, "stream idle timeout", ErrCodeRejected, 0); werr != nil {
-						return
-					}
-					dropStream(sid, sst, sst.sess.started() || sst.bytes > 0)
-				}
+// drop retires stream id, running its session's release hook and
+// returning its sessActive slot; failed says whether it counts as a failed
+// session (vs. completed or a never-started probe).
+func (c *srvConn) drop(id uint64, st *srvStream, failed bool) {
+	if failed {
+		c.s.failed.Add(1)
+	}
+	st.sess.runRelease()
+	c.s.sessActive.Add(-1)
+	if c.mux {
+		c.s.streamsOpen.Add(-1)
+	}
+	delete(c.streams, id)
+}
+
+// fail ends stream id with a coded protocol error, counted as a failed
+// session (st is nil when the frame never got one), and reports whether
+// the connection lives on.
+func (c *srvConn) fail(id uint64, st *srvStream, msg string) bool {
+	c.s.failed.Add(1)
+	if st != nil {
+		c.drop(id, st, false)
+	}
+	return c.refuse(id, msg, ErrCodeRejected, 0)
+}
+
+// refuse reports a failure on stream id as a coded msgError. On a plain
+// connection it is the final frame and the connection closes (see
+// sendCodedError); on a mux connection it goes out enveloped with the
+// close flag, and the connection and every sibling stream carry on. It
+// reports whether the connection lives on.
+func (c *srvConn) refuse(id uint64, msg, code string, retryAfter time.Duration) bool {
+	if !c.mux {
+		c.s.sendCodedError(c.conn, msg, code, retryAfter)
+		return false
+	}
+	payload := appendErrCode(msg, code, retryAfter)
+	_, err := c.send(id, muxFlagClose, []Frame{{msgError, []byte(payload)}})
+	return err == nil
+}
+
+// send writes one batch of frames for stream id in one coalesced write
+// under the idle write deadline — a client that stops reading must not pin
+// this goroutine (and its session slots) in a blocked send — and returns
+// the wire bytes written. A mux connection envelopes every frame with
+// flags, lz-compressing bodies where that was granted and pays; streams
+// are served strictly in frame-arrival order, so one write per inbound
+// frame round-robins the connection fairly.
+func (c *srvConn) send(id, flags uint64, out []Frame) (int64, error) {
+	if c.idle > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(c.idle))
+	}
+	var n int64
+	var err error
+	if !c.mux {
+		err = writeFrames(c.conn, out)
+		for _, f := range out {
+			n += int64(5 + len(f.Payload))
+		}
+	} else {
+		batch := getPayloadBuf()
+		b := (*batch)[:0]
+		for _, f := range out {
+			body, compressed := muxCompressBody(f.Payload, c.lz)
+			fl := flags
+			if compressed {
+				fl |= muxFlagCompressed
+				c.s.bytesSaved.Add(int64(len(f.Payload) - len(body)))
+			}
+			b = muxAppendFrame(b, id, fl, f.Type, body)
+		}
+		_, err = c.conn.Write(b)
+		n = int64(len(b))
+		*batch = b[:0]
+		putPayloadBuf(batch)
+	}
+	if err != nil {
+		return 0, err
+	}
+	c.s.bytesOut.Add(n)
+	return n, nil
+}
+
+// sweep times out every stream whose client has sent nothing for the idle
+// timeout. The connection's read deadline only fires when every stream is
+// silent, so a mux stream that went quiet while its siblings stay busy is
+// caught here; the loop sweeps before each read, so no frame path can skip
+// it. (A plain connection's one stream always hits the read deadline
+// first.) Every stream in the table has its opening frame charged, so a
+// swept stream counts as failed. sweep reports whether the connection
+// lives on.
+func (c *srvConn) sweep() bool {
+	for id, st := range c.streams {
+		if time.Since(st.lastActive) > c.idle {
+			c.drop(id, st, true)
+			if !c.refuse(id, "stream idle timeout", ErrCodeRejected, 0) {
+				return false
 			}
 		}
+	}
+	return true
+}
+
+// teardown retires every stream still open when the connection ends: each
+// was mid-session, so each counts as failed. The clean case (every session
+// completed or closed first) has an empty table and counts nothing.
+func (c *srvConn) teardown() {
+	for id, st := range c.streams {
+		c.drop(id, st, true)
 	}
 }

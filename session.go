@@ -182,35 +182,24 @@ func (ss *SharedSet) newInitiatorSession(opt Options, onDelta func(elems []uint6
 // StrongVerify, the verification digest) in one reply frame; one that
 // declines re-plans from the true d̂, exactly like the legacy flow but
 // one round trip earlier. opt's constraints match newInitiatorSession.
-func (ss *SharedSet) newFastInitiatorSession(opt Options, onDelta func(elems []uint64, round int), name string, specD uint64) (*InitiatorSession, []Frame, error) {
-	return ss.newFastInitiatorSessionFeatures(opt, onDelta, name, specD, 0, true)
-}
-
-// newFastInitiatorSessionFeatures is newFastInitiatorSession with a
-// protocol-feature request folded into the hello. A non-zero features
-// bitmap upgrades the hello to version 2 (want-flags in the existing flags
+//
+// A non-zero features bitmap folds a protocol-feature request into the
+// hello, upgrading it to version 2 (want-flags in the existing flags
 // field — zero extra round trips); features == 0 produces a version-1
 // hello byte-identical to the pre-mux wire format. adaptive offers the
 // peer adaptive round re-planning (on by default through every fast-path
 // entry point; WithAdaptive(false) is the opt-out) — the offer itself is
 // one flag bit and changes nothing until the peer grants it.
-func (ss *SharedSet) newFastInitiatorSessionFeatures(opt Options, onDelta func(elems []uint64, round int), name string, specD uint64, features uint64, adaptive bool) (*InitiatorSession, []Frame, error) {
+func (ss *SharedSet) newFastInitiatorSession(opt Options, onDelta func(elems []uint64, round int), name string, specD uint64, features uint64, adaptive bool) (*InitiatorSession, []Frame, error) {
 	if specD < 1 {
 		specD = 1
 	}
 	if max := opt.maxD(); specD > max {
 		specD = max
 	}
-	plan, err := syncPlan(specD, opt)
+	plan, alice, err := ss.newAlice(opt, specD, onDelta)
 	if err != nil {
 		return nil, nil, err
-	}
-	alice, err := core.NewAliceFromSnapshot(ss.snap, plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	if onDelta != nil {
-		alice.OnVerifiedDelta(onDelta)
 	}
 	round1, err := alice.BuildRound()
 	if err != nil {
@@ -251,6 +240,24 @@ func (ss *SharedSet) newFastInitiatorSessionFeatures(opt Options, onDelta func(e
 	return s, []Frame{{msgHelloV1, hello}}, nil
 }
 
+// newAlice plans for the difference bound d and starts an Alice over the
+// shared snapshot — the initiator endpoint every flow (legacy estimate,
+// fast speculation, declined speculation) builds the same way.
+func (ss *SharedSet) newAlice(opt Options, d uint64, onDelta func(elems []uint64, round int)) (core.Plan, *core.Alice, error) {
+	plan, err := syncPlan(d, opt)
+	if err != nil {
+		return core.Plan{}, nil, err
+	}
+	alice, err := core.NewAliceFromSnapshot(ss.snap, plan)
+	if err != nil {
+		return core.Plan{}, nil, err
+	}
+	if onDelta != nil {
+		alice.OnVerifiedDelta(onDelta)
+	}
+	return plan, alice, nil
+}
+
 // Step advances the session with one frame received from the responder.
 // The returned frames must be sent to the peer even when err is non-nil
 // (a failed strong verification still closes the session with msgDone) —
@@ -275,18 +282,9 @@ func (s *InitiatorSession) Step(typ byte, payload []byte) (out []Frame, done boo
 		}
 		s.dhat = dhat
 		s.estBytes += len(payload)
-		plan, err := syncPlan(dhat, s.opt)
-		if err != nil {
+		if s.plan, s.alice, err = s.shared.newAlice(s.opt, dhat, s.onDelta); err != nil {
 			return nil, false, err
 		}
-		alice, err := core.NewAliceFromSnapshot(s.shared.snap, plan)
-		if err != nil {
-			return nil, false, err
-		}
-		if s.onDelta != nil {
-			alice.OnVerifiedDelta(s.onDelta)
-		}
-		s.plan, s.alice = plan, alice
 		return s.advance()
 
 	case initWantRoundReply:
@@ -373,24 +371,15 @@ func (s *InitiatorSession) Step(typ byte, payload []byte) (out []Frame, done boo
 		// sides re-plan deterministically from the true d̂ and continue
 		// with the classic round flow.
 		s.specBits = s.alice.PayloadBits()
-		plan, err := syncPlan(rep.dhat, s.opt)
-		if err != nil {
-			return nil, false, err
-		}
-		alice, err := core.NewAliceFromSnapshot(s.shared.snap, plan)
-		if err != nil {
+		if s.plan, s.alice, err = s.shared.newAlice(s.opt, rep.dhat, s.onDelta); err != nil {
 			return nil, false, err
 		}
 		if s.adaptive {
 			// The fresh endpoint restarts its round numbering at 1, so its
 			// first message is static and re-planning engages from round 2 —
 			// the same rule the responder's fresh Bob applies.
-			alice.EnableAdaptive()
+			s.alice.EnableAdaptive()
 		}
-		if s.onDelta != nil {
-			alice.OnVerifiedDelta(s.onDelta)
-		}
-		s.plan, s.alice = plan, alice
 		return s.advance()
 
 	case initWantVerifyReply:
@@ -678,9 +667,11 @@ type ResponderSession struct {
 	release func()
 
 	// allowFeatures is the feature bitmap this session may grant to a
-	// version-2 fast hello. Only the Server's connection loop sets it (it
-	// owns the demultiplexer a grant commits to); everywhere else the zero
-	// value declines every offer, which downgrades the reply to version 1.
+	// version-2 fast hello. Only the Server's connection loop sets it, and
+	// only while the connection is still plain (it owns the demultiplexer
+	// a grant commits to); everywhere else the zero value declines every
+	// offer, which downgrades the reply to version 1. granted is what the
+	// hello reply actually granted.
 	allowFeatures uint64
 	granted       uint64
 
@@ -696,10 +687,6 @@ type ResponderSession struct {
 	// sized it right. The Server counts these as ServerStats.PriorHits.
 	specAccepted bool
 }
-
-// grantedFeatures reports the feature bitmap granted to the initiator's
-// version-2 hello, or zero before the hello (or when nothing was granted).
-func (s *ResponderSession) grantedFeatures() uint64 { return s.granted }
 
 // NewResponderSession starts a standalone responder session for set. For
 // many concurrent sessions over one set, build a SharedSet once and use
@@ -725,23 +712,9 @@ func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done boo
 			// reconciliation state; treat it as the protocol violation it is.
 			return nil, false, fmt.Errorf("pbs: duplicate estimate in one session")
 		}
-		theirs, err := decodeSketches(payload)
+		dhat, err := s.estimate(payload)
 		if err != nil {
 			return nil, false, err
-		}
-		if len(theirs) != s.opt.EstimatorSketches {
-			return nil, false, fmt.Errorf("pbs: peer sent %d sketches, want %d", len(theirs), s.opt.EstimatorSketches)
-		}
-		dhatF, err := s.shared.tow.Estimate(theirs, s.shared.towSketch())
-		if err != nil {
-			return nil, false, err
-		}
-		dhat, err := s.opt.boundEstimate(dhatF)
-		if err != nil {
-			return nil, false, err
-		}
-		if fn := s.shared.observeDhat; fn != nil {
-			fn(dhat)
 		}
 		plan, err := syncPlan(dhat, s.opt)
 		if err != nil {
@@ -768,18 +741,7 @@ func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done boo
 			// a protocol this responder speaks.
 			return nil, false, fmt.Errorf("pbs: unsupported fast protocol version %d", h.version)
 		}
-		theirs, err := decodeSketches(h.sketches)
-		if err != nil {
-			return nil, false, err
-		}
-		if len(theirs) != s.opt.EstimatorSketches {
-			return nil, false, fmt.Errorf("pbs: peer sent %d sketches, want %d", len(theirs), s.opt.EstimatorSketches)
-		}
-		dhatF, err := s.shared.tow.Estimate(theirs, s.shared.towSketch())
-		if err != nil {
-			return nil, false, err
-		}
-		dhat, err := s.opt.boundEstimate(dhatF)
+		dhat, err := s.estimate(h.sketches)
 		if err != nil {
 			return nil, false, err
 		}
@@ -788,9 +750,6 @@ func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done boo
 		// exists to prevent.
 		accepted := h.specD <= s.opt.maxD() && fastSpecAccepted(h.specD, dhat)
 		s.adaptive = h.wantAdaptive
-		if fn := s.shared.observeDhat; fn != nil {
-			fn(dhat)
-		}
 		planD := dhat
 		if accepted {
 			planD = h.specD
@@ -865,6 +824,31 @@ func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done boo
 	default:
 		return nil, false, fmt.Errorf("pbs: unexpected message type %d", typ)
 	}
+}
+
+// estimate answers the initiator's ToW sketches with the bounded d̂ — the
+// shared first step of a legacy msgEstimate and a fast hello — and reports
+// it to the shared set's d̂ observer.
+func (s *ResponderSession) estimate(sketches []byte) (uint64, error) {
+	theirs, err := decodeSketches(sketches)
+	if err != nil {
+		return 0, err
+	}
+	if len(theirs) != s.opt.EstimatorSketches {
+		return 0, fmt.Errorf("pbs: peer sent %d sketches, want %d", len(theirs), s.opt.EstimatorSketches)
+	}
+	dhatF, err := s.shared.tow.Estimate(theirs, s.shared.towSketch())
+	if err != nil {
+		return 0, err
+	}
+	dhat, err := s.opt.boundEstimate(dhatF)
+	if err != nil {
+		return 0, err
+	}
+	if fn := s.shared.observeDhat; fn != nil {
+		fn(dhat)
+	}
+	return dhat, nil
 }
 
 // materialize builds Bob from the agreed plan on first need, paging the

@@ -538,7 +538,7 @@ func (s *Set) syncAttempt(ctx context.Context, conn io.ReadWriter, cfg *setConfi
 	var res *Result
 	if cfg.fastSync {
 		spec := s.adaptiveSpeculativeD(cfg)
-		is, opening, err := ss.newFastInitiatorSessionFeatures(cfg.opt, cfg.onDelta, cfg.setName, spec, features, !cfg.adaptiveOff)
+		is, opening, err := ss.newFastInitiatorSession(cfg.opt, cfg.onDelta, cfg.setName, spec, features, !cfg.adaptiveOff)
 		if err != nil {
 			return nil, err
 		}
